@@ -771,11 +771,10 @@ impl Session {
     }
 }
 
-/// `mayac --expand` as a string: every compiled method body of every
-/// user class, pretty-printed after Mayan expansion.
 /// Renders `mayac --dump-bytecode[=FILTER]`: one disassembly block per
-/// forced, bytecode-compilable method (same class walk and library-package
-/// skip as `--expand`).  An empty filter passes everything; otherwise the
+/// forced method whose body lowers (template-bearing metaprogram bodies do
+/// not; `try` bodies do), with the same class walk and library-package
+/// skip as `--expand`.  An empty filter passes everything; otherwise the
 /// method name or `Class.method` must match.
 fn render_bytecode(compiler: &Compiler, filter: &str) -> String {
     use std::fmt::Write as _;
@@ -810,6 +809,8 @@ fn render_bytecode(compiler: &Compiler, filter: &str) -> String {
     out
 }
 
+/// `mayac --expand` as a string: every compiled method body of every
+/// user class, pretty-printed after Mayan expansion.
 fn render_expansions(compiler: &Compiler) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

@@ -1,11 +1,11 @@
-//! Flat register bytecode for the third execution tier.
+//! Flat register bytecode for the fast execution tier.
 //!
 //! A `LoweredBody` is compiled on first execution into a `BcBody`: a dense
 //! `Vec<Instr>` over a flat register file (locals, preloaded constants, and
 //! per-statement temporaries), executed by the match-dispatch loop in
-//! `vm.rs`. The compiler here preserves the lowered tier's observable
+//! `vm.rs`. The compiler here preserves the tree walker's observable
 //! semantics exactly — step counts, error strings, error spans, evaluation
-//! order — so all three engines stay byte-identical over the corpus.
+//! order — so both engines stay byte-identical over the corpus.
 //!
 //! Highlights:
 //! - no `Const` instruction: constants are preloaded into dedicated
@@ -17,7 +17,11 @@
 //! - tiny leaf callees (≤ `INLINE_MAX` instrs) are spliced inline at the
 //!   refine recompile (`REFINE_EXECS`) behind `GuardInline` checks;
 //! - `Break`/`Continue` surfacing from calls inside loop bodies are routed
-//!   through a static region table (`Region`) instead of unwinding.
+//!   through a static region table (`Region`) instead of unwinding;
+//! - `try`/`catch`/`finally` compiles to a `Try` instruction over a
+//!   handler table (`Handler`): the VM runs each protected block as a
+//!   nested pass over the same register file, ending at the block's
+//!   `EndBlock` or at a `Leave` (a `break`/`continue` out of the block).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -50,7 +54,8 @@ pub(crate) enum BcState {
         execs: Cell<u32>,
         refined: Cell<bool>,
     },
-    /// Compilation bailed (e.g. try/catch present); fall back to the tree.
+    /// Compilation bailed (register pool exhausted); fall back to the tree
+    /// walker.
     Unsupported,
 }
 
@@ -108,6 +113,14 @@ pub(crate) enum Instr {
     CallRecv { dst: u16, recv: u16, base: u16, n: u16, name: Symbol, site: u16, span: Span },
     CallSuper { dst: u16, base: u16, n: u16, name: Symbol, site: u16, span: Span },
     CallImplicit { dst: u16, base: u16, n: u16, name: Symbol, site: u16, span: Span },
+    /// Run the `try` statement described by `BcBody::handlers[handler]`,
+    /// then continue after it (or wherever its blocks jumped to).
+    Try { handler: u16 },
+    /// Normal completion of a handler block (try body, catch, finally).
+    EndBlock,
+    /// `break`/`continue` out of a handler block: ends the block's pass,
+    /// resuming at `target` once every `finally` in between has run.
+    Leave { target: u32 },
     /// Inline-splice guard: if the guard's PIC shape no longer matches,
     /// jump to `fallback` (the generic call instruction).
     GuardInline { guard: u16, fallback: u32 },
@@ -156,6 +169,9 @@ impl Instr {
             Instr::CallRecv { .. } => "call_recv",
             Instr::CallSuper { .. } => "call_super",
             Instr::CallImplicit { .. } => "call_implicit",
+            Instr::Try { .. } => "try",
+            Instr::EndBlock => "end_block",
+            Instr::Leave { .. } => "leave",
             Instr::GuardInline { .. } => "guard_inline",
             Instr::CallEnter { .. } => "call_enter",
             Instr::CallExit => "call_exit",
@@ -173,6 +189,34 @@ pub(crate) struct Region {
     pub cont: u32,
     pub ty_depth: u16,
     pub inline_depth: u16,
+}
+
+/// One `try` statement.  Each block is a `[start, end)` pc range whose
+/// last instruction is an `EndBlock`; the blocks are laid out back to back
+/// right after the `Try` instruction.
+pub(crate) struct Handler {
+    /// The `try` statement's span: catch-type resolution errors land here.
+    pub span: Span,
+    pub body: (u32, u32),
+    pub catches: Vec<CatchBlock>,
+    pub finally: Option<(u32, u32)>,
+}
+
+impl Handler {
+    /// The first pc after the statement: the end of its last block.
+    pub(crate) fn after(&self) -> u32 {
+        let last = self.finally.or_else(|| self.catches.last().map(|c| c.block));
+        last.unwrap_or(self.body).1
+    }
+}
+
+/// One `catch` clause of a [`Handler`].
+pub(crate) struct CatchBlock {
+    /// Index into `BcBody::tys`; resolved when an exception is thrown.
+    pub ty: u16,
+    /// Local slot receiving the exception.
+    pub slot: u16,
+    pub block: (u32, u32),
 }
 
 /// One entry in a polymorphic inline cache line.
@@ -342,7 +386,9 @@ pub(crate) struct BcBody {
     pub methods: Vec<(Rc<MethodInfo>, ClassId)>,
     pub guards: Vec<InlineGuard>,
     pub regions: Vec<Region>,
-    /// pc -> hot binary-op pair labels (profiler parity with prof_binop_l).
+    pub handlers: Vec<Handler>,
+    /// pc -> hot binary-op pair labels (profiler parity with the tree
+    /// walker's `eval_binary`).
     pub pairs: HashMap<u32, Vec<(&'static str, &'static str)>>,
     /// pcs of superinstructions (for telemetry + disasm annotation).
     pub super_pcs: Vec<u32>,
@@ -362,7 +408,7 @@ impl BcBody {
 }
 
 /// Compile-time bailout: this body can't be expressed in bytecode
-/// (try/catch present, register pool exhausted, …).
+/// (register pool or a side table exhausted).
 pub(crate) struct Unsupported;
 
 /// True iff evaluating `e` can write a local slot (Assign/IncDec with a
@@ -424,7 +470,7 @@ fn tn_is_prim(tn: &TypeName) -> bool {
 }
 
 /// True iff `bc` is a leaf body eligible for inline splicing: short, no
-/// calls/guards, no env access, and only context-free types.  `has_recv`
+/// calls/guards/handlers, no env access, and only context-free types.  `has_recv`
 /// permits `LoadThis` — with a guarded receiver register in the caller the
 /// splicer rewrites it to a plain `Move`, so instance leaves (field
 /// getters, `side * side` areas) inline too.
@@ -478,6 +524,9 @@ pub(crate) fn inline_ok(bc: &BcBody, n_args: usize, has_recv: bool) -> bool {
 struct LoopCtx {
     break_fixups: Vec<u32>,
     continue_fixups: Vec<u32>,
+    /// Handler blocks open around the loop: a `break`/`continue` from
+    /// deeper inside crosses a block boundary and compiles to `Leave`.
+    tries: u32,
 }
 
 /// Single-pass bytecode emitter over a [`LoweredBody`].
@@ -509,6 +558,9 @@ struct Emit<'a> {
     span_pairs: Vec<(Span, Span)>,
     loops: Vec<LoopCtx>,
     regions: Vec<Region>,
+    handlers: Vec<Handler>,
+    /// Handler blocks currently open (see `LoopCtx::tries`).
+    tries: u32,
     pairs: HashMap<u32, Vec<(&'static str, &'static str)>>,
     super_pcs: Vec<u32>,
     /// Current static ty-stack depth (for region capture).
@@ -604,6 +656,9 @@ fn map_regs(ins: &mut Instr, f: impl Fn(u16) -> u16) {
         | Instr::RaiseBreak
         | Instr::RaiseContinue
         | Instr::RaiseInvalidAssign { .. }
+        | Instr::Try { .. }
+        | Instr::EndBlock
+        | Instr::Leave { .. }
         | Instr::GuardInline { .. }
         | Instr::CallEnter { .. }
         | Instr::CallExit => {}
@@ -724,7 +779,8 @@ impl<'a> Emit<'a> {
                 Instr::Jmp { target }
                 | Instr::JmpIfFalse { target, .. }
                 | Instr::JmpIfTrue { target, .. }
-                | Instr::JmpIfCmp { target, .. } => *target = to,
+                | Instr::JmpIfCmp { target, .. }
+                | Instr::Leave { target } => *target = to,
                 Instr::GuardInline { fallback, .. } => *fallback = to,
                 _ => unreachable!("patch target is not a jump"),
             }
@@ -742,6 +798,43 @@ impl<'a> Emit<'a> {
         if !v.is_empty() {
             self.pairs.entry(pc).or_default().extend(v);
         }
+    }
+
+    fn push_loop(&mut self) {
+        self.loops.push(LoopCtx {
+            break_fixups: Vec::new(),
+            continue_fixups: Vec::new(),
+            tries: self.tries,
+        });
+    }
+
+    /// A `break`/`continue` jump to the innermost loop, patched when the
+    /// loop closes: a plain `Jmp`, or a `Leave` when handler blocks lie in
+    /// between.  `None` when no loop encloses it in this body.
+    fn loop_exit(&mut self, is_break: bool) -> Option<()> {
+        let tries = self.loops.last()?.tries;
+        let pc = if tries == self.tries {
+            self.emit(Instr::Jmp { target: u32::MAX })
+        } else {
+            self.emit(Instr::Leave { target: u32::MAX })
+        };
+        let ctx = self.loops.last_mut().expect("checked above");
+        if is_break {
+            ctx.break_fixups.push(pc);
+        } else {
+            ctx.continue_fixups.push(pc);
+        }
+        Some(())
+    }
+
+    /// A handler block: `stmts` then `EndBlock`; returns its pc range.
+    fn handler_block(&mut self, stmts: &[LStmt]) -> Result<(u32, u32), Unsupported> {
+        let start = self.pc();
+        for s in stmts {
+            self.stmt(s)?;
+        }
+        self.emit(Instr::EndBlock);
+        Ok((start, self.pc()))
     }
 
     // ---- statements ----------------------------------------------------------
@@ -807,7 +900,7 @@ impl<'a> Emit<'a> {
                 let l_cond = self.pc();
                 let to_exit = self.branch(c, false)?;
                 let l_body = self.pc();
-                self.loops.push(LoopCtx { break_fixups: Vec::new(), continue_fixups: Vec::new() });
+                self.push_loop();
                 self.stmt(body)?;
                 let ctx = self.loops.pop().expect("loop ctx");
                 let back = self.emit(Instr::Jmp { target: l_cond });
@@ -826,7 +919,7 @@ impl<'a> Emit<'a> {
             }
             LStmtKind::Do(body, c) => {
                 let l_body = self.pc();
-                self.loops.push(LoopCtx { break_fixups: Vec::new(), continue_fixups: Vec::new() });
+                self.push_loop();
                 self.stmt(body)?;
                 let ctx = self.loops.pop().expect("loop ctx");
                 let l_cond = self.pc();
@@ -857,7 +950,7 @@ impl<'a> Emit<'a> {
                     None => Vec::new(),
                 };
                 let l_body = self.pc();
-                self.loops.push(LoopCtx { break_fixups: Vec::new(), continue_fixups: Vec::new() });
+                self.push_loop();
                 self.stmt(body)?;
                 let ctx = self.loops.pop().expect("loop ctx");
                 let l_cont = self.pc();
@@ -887,29 +980,47 @@ impl<'a> Emit<'a> {
                     self.emit(Instr::RetNull);
                 }
             },
-            LStmtKind::Break => match self.loops.last_mut() {
-                Some(_) => {
-                    let pc = self.emit(Instr::Jmp { target: u32::MAX });
-                    self.loops.last_mut().expect("loop ctx").break_fixups.push(pc);
-                }
-                None => {
+            LStmtKind::Break => {
+                if self.loop_exit(true).is_none() {
                     self.emit(Instr::RaiseBreak);
                 }
-            },
-            LStmtKind::Continue => match self.loops.last_mut() {
-                Some(_) => {
-                    let pc = self.emit(Instr::Jmp { target: u32::MAX });
-                    self.loops.last_mut().expect("loop ctx").continue_fixups.push(pc);
-                }
-                None => {
+            }
+            LStmtKind::Continue => {
+                if self.loop_exit(false).is_none() {
                     self.emit(Instr::RaiseContinue);
                 }
-            },
+            }
             LStmtKind::Throw(e) => {
                 let (src, _) = self.operand(e, false)?;
                 self.emit(Instr::Throw { src });
             }
-            LStmtKind::Try { .. } => return Err(Unsupported),
+            LStmtKind::Try { body, catches, finally } => {
+                // Reserve the entry first: nested tries take later indices.
+                let handler = idx16(self.handlers.len())?;
+                self.handlers.push(Handler {
+                    span: s.span,
+                    body: (0, 0),
+                    catches: Vec::new(),
+                    finally: None,
+                });
+                self.emit(Instr::Try { handler });
+                self.tries += 1;
+                let body = self.handler_block(body)?;
+                let mut blocks = Vec::with_capacity(catches.len());
+                for c in catches {
+                    let ty = self.ty_slot(&c.ty)?;
+                    let slot = idx16(c.param_slot as usize)?;
+                    let block = self.handler_block(&c.body)?;
+                    blocks.push(CatchBlock { ty, slot, block });
+                }
+                let finally = match finally {
+                    Some(f) => Some(self.handler_block(f)?),
+                    None => None,
+                };
+                self.tries -= 1;
+                self.handlers[handler as usize] =
+                    Handler { span: s.span, body, catches: blocks, finally };
+            }
             LStmtKind::Empty => {}
         }
         self.next_reg = mark.max(self.perm_base);
@@ -945,8 +1056,8 @@ impl<'a> Emit<'a> {
             }
             // `x op= v`: store-fused binary (reads the slot at execution
             // time, after the value — legacy's value-then-read order).
-            // Legacy's compound-assign path calls binary_l_values directly
-            // (bypassing prof_binop_l), so no pairs entry here.
+            // Legacy's compound-assign path applies the operator directly
+            // (no `eval_binary` profiler pairs), so no pairs entry here.
             LExprKind::Assign {
                 op: Some(op),
                 read: Some(read),
@@ -1578,6 +1689,8 @@ pub(crate) fn compile(
         span_pairs: Vec::new(),
         loops: Vec::new(),
         regions: Vec::new(),
+        handlers: Vec::new(),
+        tries: 0,
         pairs: HashMap::new(),
         super_pcs: Vec::new(),
         ty_depth: 0,
@@ -1629,6 +1742,7 @@ pub(crate) fn compile(
         methods: e.methods,
         guards,
         regions: e.regions,
+        handlers: e.handlers,
         pairs: e.pairs,
         super_pcs: e.super_pcs,
         inlined: e.inlined,
@@ -1668,6 +1782,7 @@ pub(crate) fn bc_of(lb: &LoweredBody) -> Option<Rc<BcBody>> {
                 Some(bc)
             }
             Err(Unsupported) => {
+                maya_telemetry::count(maya_telemetry::Counter::BcDeclined);
                 *lb.bc.borrow_mut() = BcState::Unsupported;
                 None
             }
@@ -1680,6 +1795,7 @@ pub(crate) fn bc_of(lb: &LoweredBody) -> Option<Rc<BcBody>> {
 // Serializes *cold* compiles only (the output of `compile(lb, &[], false)`):
 // cold bodies never contain inline splices, so `guards`/`methods`/`inlined`
 // are empty and every instruction is position-independent of runtime state.
+// The handler table is plain pc ranges and is encoded in full.
 // Site tables (`field_sites`, `sites`, `tys`) carry no data beyond their
 // arity — the decoder recreates empty caches, which is observably identical
 // to a fresh cold compile. Instruction tags are declaration order of
@@ -1726,6 +1842,24 @@ pub(crate) fn encode_bc(w: &mut W, bc: &BcBody) -> Option<()> {
         w.u32(r.cont);
         w.u16(r.ty_depth);
         w.u16(r.inline_depth);
+    }
+    w.len(bc.handlers.len())?;
+    for h in &bc.handlers {
+        w.span(h.span);
+        enc_range(w, h.body);
+        w.len(h.catches.len())?;
+        for c in &h.catches {
+            w.u16(c.ty);
+            w.u16(c.slot);
+            enc_range(w, c.block);
+        }
+        match h.finally {
+            None => w.u8(0),
+            Some(f) => {
+                w.u8(1);
+                enc_range(w, f);
+            }
+        }
     }
     // HashMap iteration order is nondeterministic; sort by pc so equal
     // bodies encode to equal bytes.
@@ -1786,6 +1920,24 @@ pub(crate) fn decode_bc(r: &mut R) -> Option<BcBody> {
         regions.push(Region { start, end, brk, cont, ty_depth, inline_depth });
     }
     let n = r.len()?;
+    let mut handlers = Vec::with_capacity(n);
+    for _ in 0..n {
+        let span = r.span()?;
+        let body = dec_range(r)?;
+        let m = r.len()?;
+        let mut catches = Vec::with_capacity(m);
+        for _ in 0..m {
+            let (ty, slot) = (r.u16()?, r.u16()?);
+            catches.push(CatchBlock { ty, slot, block: dec_range(r)? });
+        }
+        let finally = match r.u8()? {
+            0 => None,
+            1 => Some(dec_range(r)?),
+            _ => return None,
+        };
+        handlers.push(Handler { span, body, catches, finally });
+    }
+    let n = r.len()?;
     let mut pairs = HashMap::with_capacity(n);
     for _ in 0..n {
         let pc = r.u32()?;
@@ -1815,6 +1967,7 @@ pub(crate) fn decode_bc(r: &mut R) -> Option<BcBody> {
         methods: Vec::new(),
         guards: Vec::new(),
         regions,
+        handlers,
         pairs,
         super_pcs,
         inlined: Vec::new(),
@@ -1823,6 +1976,15 @@ pub(crate) fn decode_bc(r: &mut R) -> Option<BcBody> {
         return None;
     }
     Some(bc)
+}
+
+fn enc_range(w: &mut W, (start, end): (u32, u32)) {
+    w.u32(start);
+    w.u32(end);
+}
+
+fn dec_range(r: &mut R) -> Option<(u32, u32)> {
+    Some((r.u32()?, r.u32()?))
 }
 
 fn enc_instr(w: &mut W, ins: &Instr) -> Option<()> {
@@ -2040,8 +2202,17 @@ fn enc_instr(w: &mut W, ins: &Instr) -> Option<()> {
             w.u16(*site);
             w.span(*span);
         }
-        // Tags 37–39 (GuardInline/CallEnter/CallExit) only appear in
-        // refined bodies, which this codec declines above.
+        Instr::Try { handler } => {
+            w.u8(37);
+            w.u16(*handler);
+        }
+        Instr::EndBlock => w.u8(38),
+        Instr::Leave { target } => {
+            w.u8(39);
+            w.u32(*target);
+        }
+        // GuardInline/CallEnter/CallExit only appear in refined bodies,
+        // which this codec declines above.
         Instr::GuardInline { .. } | Instr::CallEnter { .. } | Instr::CallExit => return None,
     }
     Some(())
@@ -2130,11 +2301,14 @@ fn dec_instr(r: &mut R) -> Option<Instr> {
             site: r.u16()?,
             span: r.span()?,
         },
+        37 => Instr::Try { handler: r.u16()? },
+        38 => Instr::EndBlock,
+        39 => Instr::Leave { target: r.u32()? },
         _ => return None,
     })
 }
 
-/// Every register, table index, and jump target in bounds.
+/// Every register, table index, jump target, and handler range in bounds.
 fn validate_bc(bc: &BcBody) -> bool {
     let reg = |r: u16| r < bc.n_regs;
     let site = |s: u16| usize::from(s) < bc.sites.len();
@@ -2153,6 +2327,16 @@ fn validate_bc(bc: &BcBody) -> bool {
         return false;
     }
     if !bc.pairs.keys().chain(bc.super_pcs.iter()).all(|p| pc(*p)) {
+        return false;
+    }
+    let range = |(start, end): (u32, u32)| start < end && (end as usize) <= bc.code.len();
+    let handlers_ok = bc.handlers.iter().all(|h| {
+        range(h.body)
+            && h.catches.iter().all(|c| ty(c.ty) && c.slot < bc.n_locals && range(c.block))
+            && h.finally.is_none_or(range)
+            && pc(h.after())
+    });
+    if !handlers_ok {
         return false;
     }
     bc.code.iter().all(|ins| match *ins {
@@ -2196,6 +2380,9 @@ fn validate_bc(bc: &BcBody) -> bool {
         | Instr::CallImplicit { dst, base, n, site: s, .. } => {
             reg(dst) && args(base, n) && site(s)
         }
+        Instr::Try { handler } => usize::from(handler) < bc.handlers.len(),
+        Instr::EndBlock => true,
+        Instr::Leave { target } => pc(target),
         // Never produced by `dec_instr`, but keep the check total.
         Instr::GuardInline { .. } | Instr::CallEnter { .. } | Instr::CallExit => false,
     })
@@ -2266,9 +2453,25 @@ pub(crate) fn disasm(bc: &BcBody, ct: &ClassTable) -> String {
             }
             Instr::Step { .. } => String::new(),
             Instr::Ret { src } => format!("r{src}"),
-            Instr::RetNull | Instr::RaiseBreak | Instr::RaiseContinue | Instr::CallExit => {
-                String::new()
+            Instr::RetNull
+            | Instr::RaiseBreak
+            | Instr::RaiseContinue
+            | Instr::CallExit
+            | Instr::EndBlock => String::new(),
+            Instr::Try { handler } => {
+                let h = &bc.handlers[handler as usize];
+                let range = |(start, end): (u32, u32)| format!("@{start}..@{end}");
+                let mut parts = vec![format!("h{handler} body {}", range(h.body))];
+                for c in &h.catches {
+                    parts.push(format!("catch ty{} -> r{} {}", c.ty, c.slot, range(c.block)));
+                }
+                if let Some(f) = h.finally {
+                    parts.push(format!("finally {}", range(f)));
+                }
+                parts.push(format!("after @{}", h.after()));
+                parts.join(", ")
             }
+            Instr::Leave { target } => format!("@{target}"),
             Instr::Throw { src } => format!("r{src}"),
             Instr::RaiseInvalidAssign { .. } => String::new(),
             Instr::CallRecv { dst, recv, base, n, name, site, .. } => {

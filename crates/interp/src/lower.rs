@@ -12,21 +12,23 @@
 //!   fold (integer `/`/`%` can throw, so they never fold), and statements
 //!   are never folded away, keeping step counting identical to the
 //!   tree-walker.
-//! * **Site caches** — every call, field access, and type reference gets a
-//!   private inline cache ([`CallSite`], [`FieldSite`], [`TypeSlot`]) filled
-//!   at run time and guarded by the interpreter's cache *epoch* (see
-//!   `layout.rs`), so a lowered body contains no environment-dependent data
-//!   and can be shared between compilers in a session.
+//! * **Site caches** — every field access and type reference gets a
+//!   private inline cache ([`FieldSite`], [`TypeSlot`]) filled at run time
+//!   and guarded by the interpreter's cache *epoch* (see `layout.rs`), so a
+//!   lowered body contains no environment-dependent data and can be shared
+//!   between compilers in a session.  (Call sites are cached by the
+//!   bytecode's polymorphic inline caches.)
 //!
 //! Lowering is a pure function of the body's AST and its parameter names.
+//! A lowered body is the bytecode translator's input IR (`bytecode.rs`).
 //! Bodies containing unforced lazy nodes, templates, or poison nodes are
 //! *unlowerable* and keep executing on the legacy tree-walker; the
 //! [`LowerStore`] memoizes both outcomes per structural fingerprint so warm
 //! `mayad` runs skip the analysis entirely.
 //!
 //! Evaluation order, error messages, error spans, and observable side
-//! effects are mirrored from `interp.rs` exactly — the conformance corpus
-//! must be byte-identical with lowering on and off.
+//! effects are preserved exactly — the conformance corpus must be
+//! byte-identical with lowering on and off.
 
 use crate::Value;
 use maya_ast::{
@@ -129,7 +131,6 @@ pub enum LExprKind {
     FieldGet {
         target: Box<LExpr>,
         name: Symbol,
-        site: FieldSite,
     },
     ArrayGet(Box<LExpr>, Box<LExpr>),
     New {
@@ -171,7 +172,6 @@ pub enum LExprKind {
     Call {
         callee: LCallee,
         args: Vec<LExpr>,
-        site: CallSite,
     },
     /// `ExprKind::ClassRef` — a strict class reference by fully qualified
     /// name.
@@ -248,28 +248,6 @@ impl TypeSlot {
     }
 }
 
-/// A monomorphic inline cache for one call site: the selected method for a
-/// single receiver class, guarded by (epoch, class).  Filled only when the
-/// method is the *sole* candidate at the call's arity, and re-verified
-/// against the actual argument types on every hit (dynamic values may
-/// violate static types), so the fast path can never select differently
-/// from the full search.
-pub struct CallSite {
-    guard: Cell<(u64, u64)>,
-    target: RefCell<Option<Rc<maya_types::MethodInfo>>>,
-    /// The cached target's lowered body, so a verified hit can jump
-    /// straight into lowered execution without re-probing the per-body
-    /// memo.  Reset by [`CallSite::fill`], so it can never outlive the
-    /// target it was derived from.
-    lowered: RefCell<Option<Rc<LoweredBody>>>,
-    /// Exactness cache: the [`ArgKey`]s of the last *verified* hit's
-    /// arguments.  If the current arguments have identical keys, their
-    /// runtime types are identical too, so the per-argument assignability
-    /// re-check would return the same verdict and can be skipped.  Reset
-    /// by [`CallSite::fill`] (a new target invalidates old verdicts).
-    exact: RefCell<Box<[ArgKey]>>,
-}
-
 /// A compact classification of a runtime argument, precise enough that two
 /// arguments with equal non-[`ArgKey::Other`] keys are guaranteed to have
 /// the same [`Value::runtime_type`].  `Other` (arrays, natives) never
@@ -303,67 +281,6 @@ impl ArgKey {
     /// Whether `v` is classified by this key.  `Other` matches nothing.
     pub fn matches(&self, v: &Value) -> bool {
         !matches!(self, ArgKey::Other) && *self == ArgKey::of(v)
-    }
-}
-
-impl CallSite {
-    pub(crate) fn new() -> CallSite {
-        CallSite {
-            guard: Cell::new((0, u64::MAX)),
-            target: RefCell::new(None),
-            lowered: RefCell::new(None),
-            exact: RefCell::new(Box::from([])),
-        }
-    }
-
-    /// The cached method when the guard matches.
-    pub fn get(&self, epoch: u64, class: u64) -> Option<Rc<maya_types::MethodInfo>> {
-        if self.guard.get() == (epoch, class) {
-            return self.target.borrow().clone();
-        }
-        None
-    }
-
-    /// Caches `m` for `(epoch, class)`.
-    pub fn fill(&self, epoch: u64, class: u64, m: Rc<maya_types::MethodInfo>) {
-        self.guard.set((epoch, class));
-        *self.target.borrow_mut() = Some(m);
-        *self.lowered.borrow_mut() = None;
-        *self.exact.borrow_mut() = Box::from([]);
-    }
-
-    /// Whether `args` match the last verified hit's argument keys exactly.
-    /// Only meaningful right after [`CallSite::get`] returned a target.
-    pub fn exact_hit(&self, args: &[Value]) -> bool {
-        let keys = self.exact.borrow();
-        keys.len() == args.len() && keys.iter().zip(args).all(|(k, a)| k.matches(a))
-    }
-
-    /// Records the keys of a freshly verified hit's arguments.
-    pub fn note_exact(&self, args: &[Value]) {
-        *self.exact.borrow_mut() = args.iter().map(ArgKey::of).collect();
-    }
-
-    /// The cached target's lowered body.  Only meaningful right after
-    /// [`CallSite::get`] returned a verified target.
-    pub fn lowered_body(&self) -> Option<Rc<LoweredBody>> {
-        self.lowered.borrow().clone()
-    }
-
-    /// Remembers `m`'s lowered body — but only if `m` is still the cached
-    /// target.  The caller derives `lb` *after* invoking `m`, and a
-    /// recursive call through this same site may have re-filled it with a
-    /// different target in between; pairing that target with `m`'s body
-    /// would execute the wrong method on later hits.
-    pub fn set_lowered(&self, m: &Rc<maya_types::MethodInfo>, lb: Rc<LoweredBody>) {
-        if self
-            .target
-            .borrow()
-            .as_ref()
-            .is_some_and(|t| Rc::ptr_eq(t, m))
-        {
-            *self.lowered.borrow_mut() = Some(lb);
-        }
     }
 }
 
@@ -534,12 +451,15 @@ pub fn body_fingerprint(block: &Block) -> Option<u128> {
 // every statement, expression, operator, literal, name *and span*, and the
 // disk key folds in the parameter names, so an equal key implies an AST
 // for which `lower_body` (a pure function) would produce exactly this
-// output. Site caches ([`CallSite`], [`FieldSite`], [`TypeSlot`]) hold
+// output. Site caches ([`FieldSite`], [`TypeSlot`]) hold
 // only process-local runtime state and are recreated empty on decode.
 
 /// Bumped whenever the encoded body layout changes (including the
-/// bytecode section in `bytecode.rs` and the token codes it references).
-const BODY_PAYLOAD_VERSION: u32 = 1;
+/// bytecode section in `bytecode.rs` and the token codes it references),
+/// or when a verdict stored under it stops being true — version 2 added
+/// `try` to the bytecode, so older stored `Unsupported` verdicts for
+/// bodies with a `try` must never be replayed.
+const BODY_PAYLOAD_VERSION: u32 = 2;
 
 use crate::codec::{
     binop_code, binop_from, incdec_code, incdec_from, prim_code, prim_from, unop_code, unop_from,
@@ -603,7 +523,11 @@ pub(crate) fn decode_outcome(bytes: &[u8]) -> Option<Option<Rc<LoweredBody>>> {
                         refined: Cell::new(false),
                     }
                 }
-                2 => crate::bytecode::BcState::Unsupported,
+                // A stored verdict: this body will run on the tree walker.
+                2 => {
+                    telemetry::count(telemetry::Counter::BcDeclined);
+                    crate::bytecode::BcState::Unsupported
+                }
                 _ => return None,
             };
             Some(Rc::new(LoweredBody {
@@ -961,9 +885,7 @@ fn enc_expr(w: &mut W, e: &LExpr) -> Option<()> {
             w.sym(*name)?;
         }
         LExprKind::This => w.u8(3),
-        // Per-site caches (`site`) hold process-local runtime state only;
-        // the decoder recreates them empty.
-        LExprKind::FieldGet { target, name, site: _ } => {
+        LExprKind::FieldGet { target, name } => {
             w.u8(4);
             enc_expr(w, target)?;
             w.sym(*name)?;
@@ -1043,7 +965,7 @@ fn enc_expr(w: &mut W, e: &LExpr) -> Option<()> {
             enc_expr(w, x)?;
             enc_ty(w, ty)?;
         }
-        LExprKind::Call { callee, args, site: _ } => {
+        LExprKind::Call { callee, args } => {
             w.u8(15);
             match callee {
                 LCallee::Recv(recv, name) => {
@@ -1082,7 +1004,7 @@ fn dec_expr(r: &mut R) -> Option<LExpr> {
         3 => LExprKind::This,
         4 => {
             let target = Box::new(dec_expr(r)?);
-            LExprKind::FieldGet { target, name: r.sym()?, site: FieldSite::new() }
+            LExprKind::FieldGet { target, name: r.sym()? }
         }
         5 => {
             let arr = Box::new(dec_expr(r)?);
@@ -1164,7 +1086,7 @@ fn dec_expr(r: &mut R) -> Option<LExpr> {
             for _ in 0..n {
                 args.push(dec_expr(r)?);
             }
-            LExprKind::Call { callee, args, site: CallSite::new() }
+            LExprKind::Call { callee, args }
         }
         16 => LExprKind::ClassRefName(r.sym()?),
         _ => return None,
@@ -1401,7 +1323,6 @@ impl Lowerer {
             ExprKind::FieldAccess(target, name) => LExprKind::FieldGet {
                 target: Box::new(self.expr(target)?),
                 name: name.sym,
-                site: FieldSite::new(),
             },
             ExprKind::Call(mn, args) => self.call(mn, args)?,
             ExprKind::ArrayAccess(a, i) => {
@@ -1532,7 +1453,6 @@ impl Lowerer {
         Ok(LExprKind::Call {
             callee,
             args: largs,
-            site: CallSite::new(),
         })
     }
 
@@ -1934,17 +1854,45 @@ mod tests {
     }
 
     #[test]
-    fn body_codec_round_trips_unsupported_bytecode_and_verdicts() {
-        // try/finally makes the bytecode tier bail: bc section = Unsupported.
+    fn body_codec_round_trips_handlers_and_verdicts() {
+        // try/catch/finally compiles: the bytecode section carries its
+        // handler table.
         let body = lower(
             vec![Stmt::synth(StmtKind::Try {
                 body: Block::synth(vec![Stmt::expr(Expr::int(1))]),
-                catches: vec![],
+                catches: vec![maya_ast::CatchClause {
+                    param: maya_ast::Formal::new(
+                        TypeName::named("java.lang.RuntimeException"),
+                        Ident::from_str("e"),
+                    ),
+                    body: Block::synth(vec![Stmt::expr(Expr::name("e"))]),
+                }],
                 finally: Some(Block::synth(vec![Stmt::expr(Expr::int(2))])),
             })],
             &[],
         );
         let outcome = Some(Rc::new(body));
+        let bytes = enc(&outcome);
+        let decoded = decode_outcome(&bytes).expect("decodes").expect("a body");
+        match &*decoded.bc.borrow() {
+            crate::bytecode::BcState::Ready { bc, .. } => {
+                assert_eq!(bc.handlers.len(), 1);
+                assert_eq!(bc.handlers[0].catches.len(), 1);
+                assert!(bc.handlers[0].finally.is_some());
+            }
+            _ => panic!("try/catch/finally compiles to bytecode"),
+        }
+        assert_eq!(enc(&Some(decoded)), bytes);
+
+        // A body the translator declines (more locals than the register
+        // file holds) stores the Unsupported verdict.
+        let names: Vec<String> = (0..0x8000).map(|i| format!("p{i}")).collect();
+        let params: Vec<&str> = names.iter().map(String::as_str).collect();
+        let wide = lower(
+            vec![Stmt::expr(bin(BinOp::Add, Expr::name("p0"), Expr::name("p1")))],
+            &params,
+        );
+        let outcome = Some(Rc::new(wide));
         let bytes = enc(&outcome);
         let decoded = decode_outcome(&bytes).expect("decodes").expect("a body");
         assert!(matches!(

@@ -1,11 +1,11 @@
-//! The bytecode VM — third execution tier.
+//! The bytecode VM — the fast execution tier.
 //!
 //! [`crate::bytecode`] compiles a [`LoweredBody`] into flat register
 //! bytecode; this module executes it.  The dispatch loop below must remain
-//! *observationally identical* to the lowered tree walker in `interp.rs`
-//! (same output bytes, same error text and spans, same step counts, same
-//! telemetry call counters) — `MAYA_NO_BYTECODE=1` pins the tree walker for
-//! differential testing, and the fuzzer runs all three tiers against each
+//! *observationally identical* to the tree walker in `interp.rs` (same
+//! output bytes, same error text and spans, same step counts, same
+//! telemetry call counters) — `MAYA_NO_LOWER=1` pins the tree walker for
+//! differential testing, and the fuzzer runs both tiers against each
 //! other.
 //!
 //! Call dispatch goes through [`PolySite`] polymorphic inline caches keyed
@@ -16,7 +16,7 @@
 //! [`Instr::GuardInline`] handler re-validates the snapshot (epoch, receiver
 //! class, argument keys) and falls back to the generic call on mismatch.
 
-use crate::bytecode::{self, BcBody, BcState, Instr, PolySite, REFINE_EXECS};
+use crate::bytecode::{self, BcBody, BcState, Handler, Instr, PolySite, REFINE_EXECS};
 use crate::interp::{Control, Eval, Interp};
 use crate::lower::{class_key, ArgKey, LoweredBody};
 use crate::value::Value;
@@ -36,7 +36,7 @@ enum Route {
 }
 
 /// `++`/`--` on a value; shared by `IncDecVal` and `IncLocal`.  Mirrors the
-/// tree walker's `LExprKind::IncDec` arm exactly.
+/// tree walker's `ExprKind::IncDec` arm exactly.
 fn incdec_value(v: &Value, delta: i32, span: Span) -> Eval {
     Ok(match v {
         Value::Int(v) => Value::Int(v.wrapping_add(delta)),
@@ -102,8 +102,9 @@ impl Interp {
     }
 
     /// Disassembly of `body`'s bytecode for `mayac --dump-bytecode`,
-    /// compiling cold if needed.  `None` when the body can't be lowered or
-    /// can't be compiled (e.g. contains try/catch).
+    /// compiling cold if needed.  `None` when the body can't be lowered
+    /// (templates, lazy or poison nodes) or the translator declined it
+    /// (register overflow).
     pub fn bytecode_listing(&self, body: &LazyNode, params: &[Symbol]) -> Option<String> {
         let lb = self.lowered_body(body, params)?;
         let bc = bytecode::bc_of(&lb)?;
@@ -124,11 +125,11 @@ impl Interp {
         self.lowered_body(body, &m.param_names)
     }
 
-    /// Dispatches through a polymorphic inline cache — the bytecode tier's
-    /// analog of `invoke_ic`.  Entries are keyed by (receiver class, exact
-    /// [`ArgKey`]s): an exact-key hit implies the arguments' runtime types
-    /// are identical to the install-time ones, so `select_from_row` would
-    /// pick the same target — no per-argument assignability re-check needed.
+    /// Dispatches through a polymorphic inline cache.  Entries are keyed by
+    /// (receiver class, exact [`ArgKey`]s): an exact-key hit implies the
+    /// arguments' runtime types are identical to the install-time ones, so
+    /// `select_from_row` would pick the same target — no per-argument
+    /// assignability re-check needed.
     pub(crate) fn invoke_pic(
         &self,
         recv: Option<Value>,
@@ -149,10 +150,10 @@ impl Interp {
                 });
             }
             // Fast path: the entry carries the target's lowered body, so a
-            // hit goes straight to lowered/bytecode execution.  Mirrors
+            // hit goes straight to bytecode execution.  Mirrors
             // `invoke`/`invoke_inner` exactly (same depth guard and error,
             // same counters).
-            if let Some(lb) = lowered {
+            if let (Some(lb), Some(body)) = (lowered, &m.body) {
                 let d = self.depth.get() + 1;
                 let limit = self.stack_limit.get();
                 if d > limit {
@@ -169,7 +170,8 @@ impl Interp {
                         self.method_label(class, &m)
                     });
                 }
-                let result = self.exec_lowered(&lb, recv, class, args);
+                let result =
+                    self.exec_lowered(&lb, body, &m.param_names, recv, class, args, span);
                 if profiled {
                     maya_telemetry::prof_exit();
                 }
@@ -269,36 +271,83 @@ impl Interp {
             regs[*r as usize] = v.clone();
         }
         let profiled = self.profile.get();
+        let mut tys = Vec::new();
+        let mut inline_depth = 0;
+        let end = bc.code.len() as u32;
+        let result = self.run_block(
+            bc,
+            &mut regs,
+            &mut tys,
+            &mut inline_depth,
+            &this,
+            class,
+            profiled,
+            (0, end),
+        );
+        // A Control that escaped the frame (throw, error, step limit, or a
+        // Break/Continue with no enclosing loop) may have left spliced
+        // callee frames entered — pop them before returning.
+        self.unwind_inline(inline_depth, profiled);
+        regs.clear();
+        {
+            let mut pool = self.frame_pool.borrow_mut();
+            if pool.len() < 32 {
+                pool.push(regs);
+            }
+        }
+        match result {
+            Err(Control::Return(v)) => Ok(v),
+            Err(other) => Err(other),
+            // The body's code ends in `RetNull`; only handler blocks end.
+            Ok(_) => Ok(Value::Null),
+        }
+    }
+
+    /// One pass of the dispatch loop over the pc range `block`, starting
+    /// at its first instruction: the whole body, or one handler block of a
+    /// `try` (a nested pass over the same register file).  Mirrors the
+    /// tree walker's statement-list result: `Ok(None)` is normal
+    /// completion (`EndBlock`), `Ok(Some(pc))` a jump out of the block
+    /// (`Leave`, or a routed break/continue), `Err` everything abrupt —
+    /// `return` included, as `Control::Return`.
+    ///
+    /// Always inlined, so the whole-body pass in `run_bc` — the per-call
+    /// path — keeps the frame state in locals; handler blocks run through
+    /// the one out-of-line copy, `run_nested`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn run_block(
+        &self,
+        bc: &BcBody,
+        regs: &mut [Value],
+        tys: &mut Vec<Type>,
+        inline_depth: &mut u16,
+        this: &Option<Value>,
+        class: ClassId,
+        profiled: bool,
+        (start, end): (u32, u32),
+    ) -> Result<Option<u32>, Control> {
         let cls = Some(class);
-        // Type stack for New/NewArray/Decl sequences (balanced by compile).
-        let mut tys: Vec<Type> = Vec::new();
-        // Spliced inline frames currently entered (see CallEnter/CallExit).
-        let mut inline_depth: u16 = 0;
-        let mut pc: u32 = 0;
-        let result: Eval;
+        let mut pc = start;
 
         // Route a fallible handler's Err through `route_control`: loop
-        // break/continue jumps within the frame, everything else unwinds.
+        // break/continue jumps within the block, a jump that leaves the
+        // block ends this pass, everything else unwinds.
         macro_rules! tryc {
             ($r:expr) => {
                 match $r {
                     Ok(v) => v,
-                    Err(c) => {
-                        match self.route_control(bc, pc, c, &mut tys, &mut inline_depth, profiled)
-                        {
-                            // Unlabeled on purpose: every tryc! use site
-                            // sits directly in the 'run loop (labels are
-                            // hygienic in macros and can't be named here).
-                            Route::Jump(to) => {
-                                pc = to;
-                                continue;
-                            }
-                            Route::Out(c) => {
-                                result = Err(c);
-                                break;
-                            }
+                    Err(c) => match self.route_control(bc, pc, c, tys, inline_depth, profiled) {
+                        // Unlabeled on purpose: every tryc! use site sits
+                        // directly in the 'run loop (labels are hygienic in
+                        // macros and can't be named here).
+                        Route::Jump(to) if start <= to && to < end => {
+                            pc = to;
+                            continue;
                         }
-                    }
+                        Route::Jump(to) => return Ok(Some(to)),
+                        Route::Out(c) => return Err(c),
+                    },
                 }
             };
         }
@@ -307,7 +356,7 @@ impl Interp {
             let ins = bc.code[pc as usize];
             if profiled {
                 maya_telemetry::prof_opcode(ins.mnemonic());
-                // prof_binop_l parity: hot-pair samples are recorded before
+                // Tree-walker parity: hot-pair samples are recorded before
                 // the operands evaluate, so they hang off the first
                 // instruction of the expression, not the Binary itself.
                 if let Some(pairs) = bc.pairs.get(&pc) {
@@ -332,7 +381,7 @@ impl Interp {
                     // per-site (layout → offset) cache; anything else
                     // (overflow fields, statics, class refs) falls back to
                     // the full name resolution for identical semantics.
-                    let r = match &this {
+                    let r = match this {
                         Some(Value::Object(o)) => {
                             let fs = &bc.field_sites[site as usize];
                             let lp = Rc::as_ptr(&o.layout) as usize;
@@ -587,13 +636,9 @@ impl Interp {
                     tryc!(self.count_step(span));
                 }
                 Instr::Ret { src } => {
-                    result = Ok(regs[src as usize].clone());
-                    break 'run;
+                    return Err(Control::Return(regs[src as usize].clone()));
                 }
-                Instr::RetNull => {
-                    result = Ok(Value::Null);
-                    break 'run;
-                }
+                Instr::RetNull => return Err(Control::Return(Value::Null)),
                 Instr::RaiseBreak => {
                     let r: Result<(), Control> = Err(Control::Break);
                     tryc!(r);
@@ -675,6 +720,27 @@ impl Interp {
                     };
                     regs[dst as usize] = tryc!(r);
                 }
+                Instr::Try { handler } => {
+                    let h = &bc.handlers[handler as usize];
+                    let r = self.run_try(bc, h, regs, tys, inline_depth, this, class, profiled);
+                    match r {
+                        Ok(None) => {
+                            pc = h.after();
+                            continue 'run;
+                        }
+                        Ok(Some(to)) if start <= to && to < end => {
+                            pc = to;
+                            continue 'run;
+                        }
+                        Ok(Some(to)) => return Ok(Some(to)),
+                        Err(c) => {
+                            let r: Result<(), Control> = Err(c);
+                            tryc!(r);
+                        }
+                    }
+                }
+                Instr::EndBlock => return Ok(None),
+                Instr::Leave { target } => return Ok(Some(target)),
                 Instr::GuardInline { guard, fallback } => {
                     let g = &bc.guards[guard as usize];
                     let ok = self.caches.sync(&self.ct) == g.epoch && {
@@ -732,7 +798,7 @@ impl Interp {
                                 self.method_label(*mc, mi)
                             });
                         }
-                        inline_depth += 1;
+                        *inline_depth += 1;
                     }
                 }
                 Instr::CallExit => {
@@ -740,20 +806,93 @@ impl Interp {
                         maya_telemetry::prof_exit();
                     }
                     self.depth.set(self.depth.get() - 1);
-                    inline_depth -= 1;
+                    *inline_depth -= 1;
                 }
             }
             pc += 1;
         }
+    }
 
-        // A Control that escaped the frame (throw, error, step limit, or a
-        // Break/Continue with no enclosing loop) may have left spliced
-        // callee frames entered — pop them before returning.
-        self.unwind_inline(inline_depth, profiled);
-        regs.clear();
-        let mut pool = self.frame_pool.borrow_mut();
-        if pool.len() < 32 {
-            pool.push(regs);
+    /// A nested pass over one handler block (see `run_block`).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn run_nested(
+        &self,
+        bc: &BcBody,
+        regs: &mut [Value],
+        tys: &mut Vec<Type>,
+        inline_depth: &mut u16,
+        this: &Option<Value>,
+        class: ClassId,
+        profiled: bool,
+        block: (u32, u32),
+    ) -> Result<Option<u32>, Control> {
+        self.run_block(bc, regs, tys, inline_depth, this, class, profiled, block)
+    }
+
+    /// Runs one `try` statement's blocks as nested passes — the tree
+    /// walker's `Try` arm over pc ranges.  `Ok(None)` continues after the
+    /// statement, `Ok(Some(pc))` jumps (a `break`/`continue` out of it),
+    /// `Err` is the statement's abrupt completion.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn run_try(
+        &self,
+        bc: &BcBody,
+        h: &Handler,
+        regs: &mut [Value],
+        tys: &mut Vec<Type>,
+        inline_depth: &mut u16,
+        this: &Option<Value>,
+        class: ClassId,
+        profiled: bool,
+    ) -> Result<Option<u32>, Control> {
+        let saved = (tys.len(), *inline_depth);
+        // An abrupt block may stop mid-expression: drop its ty entries and
+        // spliced frames, as returning from the equivalent calls would.
+        let unwind = |tys: &mut Vec<Type>, inline_depth: &mut u16| {
+            tys.truncate(saved.0);
+            self.unwind_inline(*inline_depth - saved.1, profiled);
+            *inline_depth = saved.1;
+        };
+        let mut result =
+            self.run_nested(bc, regs, tys, inline_depth, this, class, profiled, h.body);
+        if result.is_err() {
+            unwind(tys, inline_depth);
+        }
+        if let Err(Control::Throw(exc)) = &result {
+            let exc = exc.clone();
+            let exc_class = exc.class_of(&self.ct);
+            for c in &h.catches {
+                // Catch types resolve at exception time, with errors
+                // reported at the try statement's span; such an error
+                // skips `finally`.
+                let catch_ty = self.resolve_type_slot(&bc.tys[c.ty as usize], Some(class), h.span)?;
+                let matches = match (&catch_ty, exc_class) {
+                    (Type::Class(want), Some(have)) => self.ct.is_subclass_or_eq(have, *want),
+                    _ => false,
+                };
+                if matches {
+                    regs[c.slot as usize] = exc;
+                    result =
+                        self.run_nested(bc, regs, tys, inline_depth, this, class, profiled, c.block);
+                    if result.is_err() {
+                        unwind(tys, inline_depth);
+                    }
+                    break;
+                }
+            }
+        }
+        if let Some(block) = h.finally {
+            // Any abrupt completion of `finally` replaces the pending result.
+            match self.run_nested(bc, regs, tys, inline_depth, this, class, profiled, block) {
+                Ok(None) => {}
+                Ok(Some(to)) => result = Ok(Some(to)),
+                Err(c) => {
+                    unwind(tys, inline_depth);
+                    result = Err(c);
+                }
+            }
         }
         result
     }

@@ -6,7 +6,7 @@
 //! superinstructions) needs to pick which op sequences deserve fused
 //! handlers.
 //!
-//! The recording API is keyed by raw addresses (`&MethodInfo`, `&CallSite`
+//! The recording API is keyed by raw addresses (`&MethodInfo`, `&PolySite`
 //! — both live behind `Rc`s for the interpreter's lifetime) so the hot
 //! path never hashes a string; names are rendered lazily by a closure that
 //! only runs the first time a key is seen. The interpreter keeps its own

@@ -25,8 +25,8 @@
 //! linear scan, or (c) any fast-path run's wall clock regressed more than
 //! 20% against the committed snapshot. It also times the `interp_hot`
 //! workload (the interpreter-bound corpus programs) through the legacy
-//! tree walker and the lowered fast runtime, and fails unless the lowered
-//! runtime is at least 3x faster with a >= 90% inline-cache hit rate.
+//! tree walker and the bytecode tier, and fails unless the bytecode tier
+//! is at least 6x faster with a >= 95% polymorphic-inline-cache hit rate.
 //! The `service` bench drives concurrent clients through the worker-pool
 //! service (`mayad --workers=8`) and fails unless it delivers at least 4x
 //! the compiles/sec of a stateless single-worker loop (fresh session per
@@ -44,7 +44,7 @@
 //! producing a diagnostic or a clean run. Resource guards are tightened
 //! so pathological inputs terminate quickly; the whole run is
 //! deterministic for a given seed. The corpus replay runs every program
-//! through two compile-server sessions — lowered runtime and legacy tree
+//! through two compile-server sessions — bytecode tier and legacy tree
 //! walker — and fails on any output divergence between them. Part of the
 //! pre-merge verify flow.
 //!
@@ -60,6 +60,7 @@
 //! the zero-panic / zero-divergence gates from the written
 //! `BENCH_fuzz.json`.
 
+use maya::core::json::{parse_json, Json};
 use maya::telemetry::{self, json_counter, json_string, Counter};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -227,7 +228,6 @@ struct TraceCheck {
 /// ("X") events with every required field, per-tid intervals that nest
 /// properly, and span coverage of the pipeline phases that ran.
 fn validate_trace(doc: &str) -> Result<TraceCheck, String> {
-    use maya::core::json::{parse_json, Json};
     let parsed = parse_json(doc).map_err(|e| format!("trace is not valid JSON: {e}"))?;
     let events = parsed
         .get("traceEvents")
@@ -318,20 +318,20 @@ fn disabled_interp_hot_ms(root: &Path) -> f64 {
     );
     let mut best = f64::INFINITY;
     for _ in 0..OVERHEAD_REPS {
-        best = best.min(interp_hot_pass(root, true, true));
+        best = best.min(interp_hot_pass(root, true));
     }
     best
 }
 
-/// First `"key": <float>` in `doc` (enough for the snapshot's own keys).
-fn json_f64(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The number at `path` (object keys, outermost first) in the JSON
+/// document `doc`; `None` when `doc` does not parse or the path does not
+/// lead to a number.
+fn json_num(doc: &str, path: &[&str]) -> Option<f64> {
+    let root = parse_json(doc).ok()?;
+    match path.iter().try_fold(&root, |v, key| v.get(key))? {
+        Json::Num(n) => Some(*n),
+        _ => None,
+    }
 }
 
 fn telemetry_gate() -> ExitCode {
@@ -407,7 +407,7 @@ fn telemetry_gate() -> ExitCode {
                     failed = true;
                 }
             }
-            match json_f64(&baseline, "interp_hot_disabled_ms") {
+            match json_num(&baseline, &["overhead", "interp_hot_disabled_ms"]) {
                 Some(old) => {
                     let limit = old * (1.0 + OVERHEAD_TOLERANCE) + OVERHEAD_FLOOR_MS;
                     let status = if disabled_ms > limit { "REGRESSED" } else { "ok" };
@@ -459,7 +459,7 @@ fn profile_report(top: usize) -> ExitCode {
         profile_interp: Some(top),
         ..telemetry::Config::default()
     });
-    interp_hot_pass(&root, true, true);
+    interp_hot_pass(&root, true);
     let r = s.finish();
     print!("{}", r.time_passes_table());
     match &r.interp_profile {
@@ -784,7 +784,6 @@ impl ServiceBench {
 /// edit-recompile requests each, measuring client-observed latency
 /// (submit to reply) and aggregate throughput.
 fn service_pool_phase(clients: usize, rounds: usize) -> ServicePhase {
-    use maya::core::json::{parse_json, Json};
     use maya::core::service::{CompilePool, PoolConfig, PoolRequest};
 
     let pool = CompilePool::start(PoolConfig { workers: 8, queue_cap: 64, ..PoolConfig::default() });
@@ -884,15 +883,13 @@ fn service_bench() -> ServiceBench {
 // ---- interpreter bench -------------------------------------------------------
 
 /// The bytecode VM tier must beat the legacy tree walker by at least this
-/// factor on the interpreter-bound workload. Raised from 2.75 (the
-/// lowered tree walker's floor) when the register-bytecode tier landed:
-/// flat dispatch, superinstructions, and polymorphic inline caches
+/// factor on the interpreter-bound workload. Raised from 2.75 (the floor
+/// of the since-deleted lowered walker) when the register-bytecode tier
+/// landed: flat dispatch, superinstructions, and polymorphic inline caches
 /// measure ~6.2x (min of {PERF_REPS} interleaved reps) on this
 /// container, so 6.0 fails any real slowdown of the VM loop while
 /// tolerating the run-to-run frequency lottery.
 const INTERP_MIN_SPEEDUP: f64 = 6.0;
-/// Minimum inline-cache hit rate over the interp_hot workload.
-const INTERP_MIN_IC_HIT_RATE: f64 = 0.90;
 /// Minimum polymorphic-inline-cache hit rate in the bytecode tier: the
 /// monomorphic-to-lightly-polymorphic call sites of the hot corpus must
 /// stay pinned in their PIC rows after warmup.
@@ -909,16 +906,11 @@ const INTERP_HOT_PROGRAMS: [(&str, &str); 3] = [
 struct InterpBench {
     /// Best wall-clock for one pass over the programs, legacy tree walker.
     seed_ms: f64,
-    /// Best wall-clock for one pass, lowered runtime with bytecode off.
-    lowered_ms: f64,
     /// Best wall-clock for one pass, bytecode VM tier (the default).
     fast_ms: f64,
     /// Every rep's wall clock per configuration, in measurement order.
     seed_samples: Vec<f64>,
-    lowered_samples: Vec<f64>,
     fast_samples: Vec<f64>,
-    ic_hits: u64,
-    ic_misses: u64,
     pic_hits: u64,
     pic_misses: u64,
     pic_evictions: u64,
@@ -931,15 +923,6 @@ struct InterpBench {
 impl InterpBench {
     fn speedup(&self) -> f64 {
         self.seed_ms / self.fast_ms.max(1e-9)
-    }
-
-    fn ic_hit_rate(&self) -> f64 {
-        let total = self.ic_hits + self.ic_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.ic_hits as f64 / total as f64
-        }
     }
 
     fn pic_hit_rate(&self) -> f64 {
@@ -955,7 +938,7 @@ impl InterpBench {
 /// One pass over the interp_hot programs: compile untimed, then time only
 /// `run_main` — the compile front end is identical in both configurations,
 /// so timing it would just dilute the interpreter speedup being measured.
-fn interp_hot_pass(root: &Path, lowering: bool, bytecode: bool) -> f64 {
+fn interp_hot_pass(root: &Path, lowering: bool) -> f64 {
     let mut ms = 0.0;
     for (name, expected) in INTERP_HOT_PROGRAMS {
         let src = std::fs::read_to_string(root.join("tests/corpus").join(name))
@@ -966,7 +949,6 @@ fn interp_hot_pass(root: &Path, lowering: bool, bytecode: bool) -> f64 {
             ..Default::default()
         });
         c.interp().set_lowering(lowering);
-        c.interp().set_bytecode(bytecode);
         c.add_source(name, &src).expect("interp_hot program compiles");
         c.compile().expect("interp_hot program compiles");
         let started = std::time::Instant::now();
@@ -982,49 +964,37 @@ fn interp_hot_pass(root: &Path, lowering: bool, bytecode: bool) -> f64 {
 }
 
 /// Times the interpreter-bound workload through the legacy tree walker and
-/// the lowered fast runtime, capturing the lowering/IC counters from the
-/// fast configuration.
+/// the bytecode tier, capturing the lowering/PIC counters from the fast
+/// configuration.
 fn interp_bench(root: &Path) -> InterpBench {
     // Counter capture first, untimed: a live telemetry collector taxes every
     // counter bump, so the wall-clock reps below run without a session and
-    // all configurations pay identical instrumentation costs (none). Two
-    // passes because the tiers shadow each other's counters: the bytecode
-    // tier drives PICs (its call sites never reach the tree walker's
-    // inline caches), so IC health is read from a lowered-only pass.
+    // both configurations pay identical instrumentation costs (none).
     let s = telemetry::Session::start(telemetry::Config::default());
-    interp_hot_pass(root, true, true);
+    interp_hot_pass(root, true);
     let r = s.finish();
-    let s = telemetry::Session::start(telemetry::Config::default());
-    interp_hot_pass(root, true, false);
-    let rl = s.finish();
 
-    // Interleaved reps: a background load spike lands on every
-    // configuration instead of skewing the ratios one way.
+    // Interleaved reps: a background load spike lands on both
+    // configurations instead of skewing the ratio one way.
     let mut seed_samples = Vec::with_capacity(PERF_REPS);
-    let mut lowered_samples = Vec::with_capacity(PERF_REPS);
     let mut fast_samples = Vec::with_capacity(PERF_REPS);
     for _ in 0..PERF_REPS {
-        seed_samples.push(interp_hot_pass(root, false, false));
-        lowered_samples.push(interp_hot_pass(root, true, false));
-        fast_samples.push(interp_hot_pass(root, true, true));
+        seed_samples.push(interp_hot_pass(root, false));
+        fast_samples.push(interp_hot_pass(root, true));
     }
     let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
     InterpBench {
         seed_ms: min(&seed_samples),
-        lowered_ms: min(&lowered_samples),
         fast_ms: min(&fast_samples),
         seed_samples,
-        lowered_samples,
         fast_samples,
-        ic_hits: rl.counter(Counter::IcHits),
-        ic_misses: rl.counter(Counter::IcMisses),
         pic_hits: r.counter(Counter::PicHits),
         pic_misses: r.counter(Counter::PicMisses),
         pic_evictions: r.counter(Counter::PicEvictions),
         bc_compiled: r.counter(Counter::BcCompiled),
         bc_superinsts: r.counter(Counter::BcSuperinsts),
-        slots_resolved: rl.counter(Counter::SlotsResolved),
-        consts_folded: rl.counter(Counter::ConstsFolded),
+        slots_resolved: r.counter(Counter::SlotsResolved),
+        consts_folded: r.counter(Counter::ConstsFolded),
     }
 }
 
@@ -1250,23 +1220,17 @@ fn render_perf(
     );
     let _ = writeln!(
         out,
-        "  \"interp_hot\": {{\n    \"interp_seed_ms\": {:.2},\n    \"interp_lowered_ms\": {:.2},\n    \
+        "  \"interp_hot\": {{\n    \"interp_seed_ms\": {:.2},\n    \
          \"interp_fast_ms\": {:.2},\n    \"speedup\": {:.2},\n    \
-         \"seed_samples_ms\": {},\n    \"lowered_samples_ms\": {},\n    \
-         \"fast_samples_ms\": {},\n    \"ic_hits\": {},\n    \"ic_misses\": {},\n    \
-         \"ic_hit_rate\": {:.4},\n    \"pic_hits\": {},\n    \"pic_misses\": {},\n    \
+         \"seed_samples_ms\": {},\n    \"fast_samples_ms\": {},\n    \
+         \"pic_hits\": {},\n    \"pic_misses\": {},\n    \
          \"pic_hit_rate\": {:.4},\n    \"pic_evictions\": {},\n    \"bc_compiled\": {},\n    \
          \"bc_superinsts\": {},\n    \"slots_resolved\": {},\n    \"consts_folded\": {}\n  }}",
         interp.seed_ms,
-        interp.lowered_ms,
         interp.fast_ms,
         interp.speedup(),
         json_samples(&interp.seed_samples),
-        json_samples(&interp.lowered_samples),
         json_samples(&interp.fast_samples),
-        interp.ic_hits,
-        interp.ic_misses,
-        interp.ic_hit_rate(),
         interp.pic_hits,
         interp.pic_misses,
         interp.pic_hit_rate(),
@@ -1278,18 +1242,6 @@ fn render_perf(
     );
     out.push_str("}\n");
     out
-}
-
-/// Pulls `"field": <number>` out of `doc`, scoped to the named workload
-/// object (first occurrence after the workload key).
-fn perf_baseline_ms(doc: &str, workload: &str, field: &str) -> Option<f64> {
-    let at = doc.find(&format!("{}:", json_string(workload)))?;
-    let rest = &doc[at..];
-    let key = format!("\"{field}\":");
-    let at = rest.find(&key)?;
-    let rest = rest[at + key.len()..].trim_start();
-    let end = rest.find(|c: char| c != '.' && !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn perf_gate() -> ExitCode {
@@ -1395,37 +1347,24 @@ fn perf_gate() -> ExitCode {
     }
 
     // Gate 4 (absolute): the bytecode VM tier must beat the legacy tree
-    // walker on the interpreter-bound workload, with healthy inline-cache
-    // and PIC hit rates (the fast paths must actually be taken, not just
-    // exist).
+    // walker on the interpreter-bound workload, with a healthy PIC hit
+    // rate (the fast paths must actually be taken, not just exist).
     let interp = interp_bench(&root);
     println!(
-        "xtask perf: interp_hot         seed {:>8.2}ms  lowered {:>8.2}ms  bytecode {:>8.2}ms  \
-         ({:.2}x)  IC {}/{} hits ({:.1}%)  PIC {}/{} hits ({:.1}%)",
+        "xtask perf: interp_hot         seed {:>8.2}ms  bytecode {:>8.2}ms  \
+         ({:.2}x)  PIC {}/{} hits ({:.1}%)",
         interp.seed_ms,
-        interp.lowered_ms,
         interp.fast_ms,
         interp.speedup(),
-        interp.ic_hits,
-        interp.ic_hits + interp.ic_misses,
-        interp.ic_hit_rate() * 100.0,
         interp.pic_hits,
         interp.pic_hits + interp.pic_misses,
         interp.pic_hit_rate() * 100.0,
     );
     if interp.speedup() < INTERP_MIN_SPEEDUP {
         eprintln!(
-            "xtask perf: lowered runtime too slow: only {:.2}x faster than the legacy \
+            "xtask perf: bytecode tier too slow: only {:.2}x faster than the legacy \
              tree walker (need {INTERP_MIN_SPEEDUP:.1}x)",
             interp.speedup()
-        );
-        failed = true;
-    }
-    if interp.ic_hit_rate() < INTERP_MIN_IC_HIT_RATE {
-        eprintln!(
-            "xtask perf: inline caches ineffective: hit rate {:.1}% (need {:.0}%)",
-            interp.ic_hit_rate() * 100.0,
-            INTERP_MIN_IC_HIT_RATE * 100.0
         );
         failed = true;
     }
@@ -1476,7 +1415,8 @@ fn perf_gate() -> ExitCode {
     match std::fs::read_to_string(&baseline_path) {
         Ok(baseline) => {
             for row in &rows {
-                let Some(old) = perf_baseline_ms(&baseline, row.name, "fast_warm_ms") else {
+                let Some(old) = json_num(&baseline, &["workloads", row.name, "fast_warm_ms"])
+                else {
                     println!("xtask perf: {} has no baseline yet (new workload)", row.name);
                     continue;
                 };
@@ -1494,7 +1434,7 @@ fn perf_gate() -> ExitCode {
                 ("pool8_p99_ms", service.pool8.p99_ms, SERVICE_P99_FLOOR_8_MS),
                 ("pool64_p99_ms", service.pool64.p99_ms, SERVICE_P99_FLOOR_64_MS),
             ] {
-                let Some(old) = perf_baseline_ms(&baseline, "service", key) else {
+                let Some(old) = json_num(&baseline, &["service", key]) else {
                     println!("xtask perf: service {key} has no baseline yet");
                     continue;
                 };
@@ -1651,9 +1591,9 @@ fn fuzz_one(src: &str) -> Result<bool, String> {
 /// Replays the conformance corpus through the compile-server path: each
 /// program cold, warm (must be a byte-identical full reuse), through a
 /// second session pinned to the legacy tree-walking interpreter (must be
-/// byte-identical to the lowered run), and after an appended-class edit,
+/// byte-identical to the bytecode run), and after an appended-class edit,
 /// all inside the ICE boundary. A panic escaping a session, a warm replay
-/// diverging from its cold run, or the lowered runtime diverging from the
+/// diverging from its cold run, or the bytecode tier diverging from the
 /// legacy one fails the fuzz run — the same invariants the random cases
 /// hunt for, on real programs.
 fn fuzz_corpus_server(root: &Path) -> Result<(usize, usize), String> {
@@ -1671,7 +1611,7 @@ fn fuzz_corpus_server(root: &Path) -> Result<(usize, usize), String> {
         maya::multijava::install(c);
     });
     // Same extensions, but every compiler the session creates runs the
-    // legacy tree walker instead of the lowered fast runtime.
+    // legacy tree walker instead of the bytecode tier.
     let legacy_installer: std::rc::Rc<dyn Fn(&maya::Compiler)> = std::rc::Rc::new(|c| {
         maya::macrolib::install(c);
         maya::multijava::install(c);
@@ -1698,9 +1638,9 @@ fn fuzz_corpus_server(root: &Path) -> Result<(usize, usize), String> {
                 || legacy.stderr != cold.stderr
             {
                 return Err(format!(
-                    "{name}: lowered runtime diverged from the legacy tree walker\n\
-                     --- lowered stdout ---\n{}\n--- legacy stdout ---\n{}\n\
-                     --- lowered stderr ---\n{}\n--- legacy stderr ---\n{}",
+                    "{name}: bytecode tier diverged from the legacy tree walker\n\
+                     --- bytecode stdout ---\n{}\n--- legacy stdout ---\n{}\n\
+                     --- bytecode stderr ---\n{}\n--- legacy stderr ---\n{}",
                     cold.stdout, legacy.stdout, cold.stderr, legacy.stderr
                 ));
             }
@@ -1747,7 +1687,7 @@ fn fuzz_lite(cases: usize, seed: u64) -> ExitCode {
         Ok((clean, diagnosed)) => {
             println!(
                 "xtask fuzz-lite: corpus server replay: {} programs ({clean} clean, \
-                 {diagnosed} diagnosed), warm == cold, lowered == legacy, 0 panics",
+                 {diagnosed} diagnosed), warm == cold, bytecode == legacy, 0 panics",
                 clean + diagnosed
             );
             ExitCode::SUCCESS
@@ -1760,16 +1700,6 @@ fn fuzz_lite(cases: usize, seed: u64) -> ExitCode {
 }
 
 // ---- verify ------------------------------------------------------------------
-
-/// Reads a top-level `"key": <integer>` field out of a hand-rendered
-/// JSON report. Good enough for the documents xtask itself writes.
-fn json_uint_field(doc: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = doc.find(&pat)? + pat.len();
-    let rest = doc[at..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
-}
 
 /// The pre-merge gauntlet: every gate command in sequence, each in its
 /// own process so one command's global state (telemetry collectors,
@@ -1814,8 +1744,8 @@ fn verify() -> ExitCode {
     };
     let mut ok = true;
     for (key, want) in [("escaped_panics", 0), ("divergences", 0), ("unminimized_divergences", 0)] {
-        match json_uint_field(&doc, key) {
-            Some(v) if v == want => {}
+        match json_num(&doc, &[key]) {
+            Some(v) if v == want as f64 => {}
             Some(v) => {
                 eprintln!("xtask verify: FAILED: BENCH_fuzz.json has {key} = {v}, want {want}");
                 ok = false;
@@ -1942,5 +1872,29 @@ fn main() -> ExitCode {
             );
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_num;
+
+    #[test]
+    fn json_num_follows_the_path_not_the_first_match() {
+        // The same key nested earlier in the document must not shadow the
+        // top-level one.
+        let doc = r#"{"runs": {"divergences": 5}, "divergences": 0}"#;
+        assert_eq!(json_num(doc, &["divergences"]), Some(0.0));
+        assert_eq!(json_num(doc, &["runs", "divergences"]), Some(5.0));
+        assert_eq!(json_num(doc, &["missing"]), None);
+        assert_eq!(json_num(doc, &["runs"]), None, "an object is not a number");
+    }
+
+    #[test]
+    fn json_num_reads_a_number_that_ends_the_document() {
+        // Minified output puts the digits right before the closing brace.
+        assert_eq!(json_num(r#"{"escaped_panics":0}"#, &["escaped_panics"]), Some(0.0));
+        assert_eq!(json_num(r#"{"ms":-1.5e1}"#, &["ms"]), Some(-15.0));
+        assert_eq!(json_num("not json", &["ms"]), None);
     }
 }

@@ -77,10 +77,13 @@ fn dump_bytecode_disassembles_methods() {
         r#"
         class Main {
             static int add(int a, int b) { return a + b; }
+            static int guarded(int a) {
+                try { return a * 2; } finally { System.out.println("fin"); }
+            }
             static void main() {
                 int s = 0;
                 for (int i = 0; i < 5; i++) { s = add(s, i); }
-                System.out.println(s);
+                System.out.println(s + guarded(1));
             }
         }
         "#,
@@ -89,13 +92,18 @@ fn dump_bytecode_disassembles_methods() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     // Program output precedes the disassembly.
-    assert!(stdout.starts_with("10
-"), "{stdout}");
+    assert!(stdout.starts_with("fin\n12\n"), "{stdout}");
     assert!(stdout.contains("--- bytecode Main.main ---"), "{stdout}");
     assert!(stdout.contains("--- bytecode Main.add ---"), "{stdout}");
     // Register/header shape of the listing.
     assert!(stdout.contains("params=2"), "{stdout}");
     assert!(stdout.contains("ret_null"), "{stdout}");
+    // A try/finally body compiles too: a `try` over its handler table,
+    // each block closed by `end_block`.
+    assert!(stdout.contains("--- bytecode Main.guarded ---"), "{stdout}");
+    assert!(stdout.contains("h0 body @"), "{stdout}");
+    assert!(stdout.contains(", finally @"), "{stdout}");
+    assert!(stdout.contains("end_block"), "{stdout}");
 
     // `--dump-bytecode=METHOD` filters to one method.
     let out = mayac().arg("--dump-bytecode=add").arg(&f).output().unwrap();

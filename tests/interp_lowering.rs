@@ -1,17 +1,19 @@
-//! Differential testing of the fast runtimes.
+//! Differential testing of the fast runtime.
 //!
-//! Every program in `tests/corpus/` is executed through `mayac` once per
-//! execution tier:
+//! Every program in `tests/corpus/`, and the `examples/maya` pair, is
+//! executed through `mayac` once per execution tier:
 //!
 //! * **legacy** — `MAYA_NO_LOWER=1`: the tree-walking interpreter;
-//! * **lowered** — `MAYA_NO_BYTECODE=1`: slot-resolved, inline-cached
-//!   lowered execution on the tree walker;
-//! * **bytecode** — the default: lowered bodies compiled to flat register
-//!   bytecode with polymorphic inline caches and superinstructions.
+//! * **bytecode** — the default: bodies lowered once, then compiled to flat
+//!   register bytecode with polymorphic inline caches and superinstructions.
 //!
-//! Stdout, stderr, and the exit status must be byte-identical across all
-//! three — each tier is an optimization, never a semantic change.
+//! Stdout, stderr, and the exit status must be byte-identical across both —
+//! the bytecode tier is an optimization, never a semantic change. The
+//! bytecode run also writes `--stats` to a file: every lowered body in the
+//! corpus must translate, so `bc_declined` (bodies sent back to the tree
+//! walker) stays 0.
 
+use maya::core::json::{parse_json, Json};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -34,42 +36,25 @@ fn parse_directives(src: &str) -> Directives {
     Directives { args }
 }
 
-#[derive(Clone, Copy)]
-enum Tier {
-    Legacy,
-    Lowered,
-    Bytecode,
-}
-
-impl Tier {
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Legacy => "legacy",
-            Tier::Lowered => "lowered",
-            Tier::Bytecode => "bytecode",
-        }
-    }
-}
-
-fn run(cwd: &Path, d: &Directives, file: &str, tier: Tier) -> Output {
+/// Runs `files` on the tree walker (`legacy`) or the bytecode tier; extra
+/// arguments go before the files.
+fn run(cwd: &Path, d: &Directives, files: &[&str], legacy: bool, extra: &[String]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_mayac"));
-    cmd.current_dir(cwd).args(&d.args).arg(file);
-    // The variables are set on the child only; the test process environment
-    // is never mutated.
-    let (no_lower, no_bc) = match tier {
-        Tier::Legacy => ("1", "1"),
-        Tier::Lowered => ("0", "1"),
-        Tier::Bytecode => ("0", "0"),
-    };
-    cmd.env("MAYA_NO_LOWER", no_lower);
-    cmd.env("MAYA_NO_BYTECODE", no_bc);
+    cmd.current_dir(cwd).args(&d.args).args(extra).args(files);
+    // Set on the child only; the test process environment is never mutated.
+    cmd.env("MAYA_NO_LOWER", if legacy { "1" } else { "0" });
     cmd.output().unwrap()
+}
+
+/// The `bc_declined` counter of a `--stats` JSON document.
+fn bc_declined(stats: &str) -> Option<u64> {
+    parse_json(stats).ok()?.get("counters")?.get("bc_declined").and_then(Json::as_u64)
 }
 
 /// One test over the whole corpus (not one per program) so the report shows
 /// every divergence at once and the corpus never partially runs.
 #[test]
-fn all_three_tiers_agree() {
+fn both_tiers_agree() {
     let dir = corpus_dir();
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
@@ -80,38 +65,103 @@ fn all_three_tiers_agree() {
         .collect();
     names.sort();
     assert!(names.len() >= 25, "corpus shrank ({} programs)", names.len());
+    let stats_dir = std::env::temp_dir().join(format!("maya-tiers-{}", std::process::id()));
+    std::fs::create_dir_all(&stats_dir).unwrap();
+
+    let mut programs: Vec<(PathBuf, Directives, Vec<&str>)> = names
+        .iter()
+        .map(|name| {
+            let src = std::fs::read_to_string(dir.join(name)).unwrap();
+            (dir.clone(), parse_directives(&src), vec![name.as_str()])
+        })
+        .collect();
+    programs.push((
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/maya"),
+        Directives { args: Vec::new() },
+        vec!["eforeach_ext.maya", "eforeach_app.maya"],
+    ));
 
     let mut failures = Vec::new();
-    for name in &names {
-        let src = std::fs::read_to_string(dir.join(name)).unwrap();
-        let d = parse_directives(&src);
-        let baseline = run(&dir, &d, name, Tier::Legacy);
-        for tier in [Tier::Lowered, Tier::Bytecode] {
-            let fast = run(&dir, &d, name, tier);
-            if fast.status.code() != baseline.status.code() {
+    for (k, (cwd, d, files)) in programs.iter().enumerate() {
+        let name = files.join(" ");
+        let baseline = run(cwd, d, files, true, &[]);
+        let stats = stats_dir.join(format!("{k}.json"));
+        let fast = run(cwd, d, files, false, &[format!("--stats={}", stats.display())]);
+        if fast.status.code() != baseline.status.code() {
+            failures.push(format!(
+                "{name}: exit status diverged (bytecode {:?}, legacy {:?})",
+                fast.status.code(),
+                baseline.status.code()
+            ));
+        }
+        for (channel, a, b) in [
+            ("stdout", &fast.stdout, &baseline.stdout),
+            ("stderr", &fast.stderr, &baseline.stderr),
+        ] {
+            if a != b {
                 failures.push(format!(
-                    "{name}: exit status diverged ({} {:?}, legacy {:?})",
-                    tier.name(),
-                    fast.status.code(),
-                    baseline.status.code()
+                    "{name}: {channel} diverged between bytecode and legacy\n\
+                     --- bytecode ---\n{}\n--- legacy ---\n{}",
+                    String::from_utf8_lossy(a),
+                    String::from_utf8_lossy(b)
                 ));
             }
-            for (channel, a, b) in [
-                ("stdout", &fast.stdout, &baseline.stdout),
-                ("stderr", &fast.stderr, &baseline.stderr),
-            ] {
-                if a != b {
-                    failures.push(format!(
-                        "{name}: {channel} diverged between {} and legacy\n\
-                         --- {} ---\n{}\n--- legacy ---\n{}",
-                        tier.name(),
-                        tier.name(),
-                        String::from_utf8_lossy(a),
-                        String::from_utf8_lossy(b)
-                    ));
-                }
-            }
+        }
+        let declined = std::fs::read_to_string(&stats).ok().and_then(|s| bc_declined(&s));
+        if declined != Some(0) {
+            failures.push(format!("{name}: bc_declined = {declined:?}, expected Some(0)"));
         }
     }
+    let _ = std::fs::remove_dir_all(&stats_dir);
     assert!(failures.is_empty(), "\n{}", failures.join("\n======\n"));
+}
+
+/// A step limit hit inside a `try` body.  The budget is still spent when
+/// the `finally` block starts, so its first statement fails too and that
+/// error replaces the body's.  Runs in-process: `mayac`'s default limit is
+/// too slow to reach on the tree walker for a corpus program.
+#[test]
+fn step_limit_inside_try_agrees() {
+    let src = r#"class Main {
+    static void main() {
+        int n = 0;
+        try {
+            while (true) {
+                n++;
+            }
+        } finally {
+            System.out.println("finally after " + n);
+        }
+    }
+}
+"#;
+    let run = |lowering: bool| {
+        let options = maya::CompileOptions {
+            echo_output: false,
+            jobs: 1,
+            interp_step_limit: 10_000,
+            ..Default::default()
+        };
+        let installer: std::rc::Rc<dyn Fn(&maya::Compiler)> =
+            std::rc::Rc::new(move |c: &maya::Compiler| c.interp().set_lowering(lowering));
+        let mut session = maya::Session::new(options, Some(installer));
+        let out = session.compile_sources(
+            &[("Main.maya".to_owned(), src.to_owned())],
+            &maya::RequestOpts::default(),
+        );
+        (out.success, out.stdout, out.stderr)
+    };
+    let legacy = run(false);
+    assert_eq!(run(true), legacy, "bytecode diverged from the tree walker");
+    assert_eq!(
+        legacy,
+        (
+            false,
+            String::new(),
+            "mayac: Main.maya:9:13: error: interpreter step limit (10000) exceeded; \
+             the program or a metaprogram may be stuck in an infinite loop\n\
+             mayac: error: aborting due to 1 previous error\n"
+                .to_owned()
+        )
+    );
 }
