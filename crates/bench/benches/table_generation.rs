@@ -9,6 +9,9 @@ use maya_lexer::Delim;
 use std::time::Duration;
 
 fn main() {
+    // Equal grammars share one memoised table set by content hash: turn
+    // the memo off so every iteration builds.
+    maya_grammar::set_table_cache_enabled(false);
     let base = Base::build();
     let opts = Options {
         warmup: Duration::from_millis(300),
@@ -18,7 +21,6 @@ fn main() {
     println!("table_generation");
 
     bench_with("base_grammar", opts.clone(), || {
-        // A fresh snapshot so tables are not cached.
         let g = base.grammar.extend().finish();
         g.tables().expect("LALR(1)")
     });

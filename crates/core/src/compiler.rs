@@ -1629,11 +1629,19 @@ impl Compiler {
         Ok(self.inner.interp.run_main(class_fqcn)?)
     }
 
+    /// Lets the interpreter force lazy bodies at run time. The closure lives
+    /// on `inner.interp`, so it holds `inner` weakly: a strong capture would
+    /// be a cycle that keeps every compiler alive.
     fn install_runtime_forcer(&self) {
-        let inner = self.inner.clone();
-        self.inner.interp.set_forcer(Rc::new(move |_i, lazy, class| {
-            let meta = inner.class_meta.borrow().get(&class).cloned();
-            let _ = meta; // env is captured in the lazy payload itself
+        let w = Rc::downgrade(&self.inner);
+        self.inner.interp.set_forcer(Rc::new(move |_i, lazy, _class| {
+            let Some(inner) = w.upgrade() else {
+                return Err(maya_interp::RuntimeError::new(
+                    "lazy node forced after its compiler was dropped",
+                    Span::DUMMY,
+                ));
+            };
+            // The environment is captured in the lazy payload itself.
             let cell = Rc::new(RefCell::new(Scope::new()));
             force_lazy(&inner, lazy, cell)
                 .map_err(|e| maya_interp::RuntimeError::new(e.message, e.span))

@@ -269,3 +269,27 @@ fn ternary_casts_and_unary() {
     "#);
     assert_eq!(out, "5\n7\ntrue\n-1\n1000000000\n");
 }
+
+/// Dropping a compiler frees it: nothing the interpreter keeps (the runtime
+/// forcer, the frame provider, the template hook) holds `CompilerInner`
+/// strongly.
+#[test]
+fn dropped_compiler_is_freed() {
+    let c = Compiler::new();
+    let inner = std::rc::Rc::downgrade(c.inner());
+    let out = c
+        .compile_and_run(
+            "Main.maya",
+            r#"
+            class Main {
+                static int twice(int n) { return n * 2; }
+                static void main() { System.out.println(twice(21)); }
+            }
+            "#,
+            "Main",
+        )
+        .unwrap();
+    assert_eq!(out, "42\n");
+    drop(c);
+    assert!(inner.upgrade().is_none(), "the compiler outlived its last handle");
+}

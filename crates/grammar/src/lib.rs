@@ -13,8 +13,9 @@
 //! Lowering translates each of these into helper productions on synthesized
 //! nonterminals (the paper's `G0`, `G1`), shared between productions that use
 //! the same parameterized symbol. The result is a pure LALR(1) grammar; the
-//! generator ([`Grammar::tables`]) computes LALR(1) lookaheads by
-//! propagation, resolves conflicts with operator-precedence relations, and —
+//! generator ([`Grammar::tables`]) computes LALR(1) lookaheads from
+//! DeRemer & Pennello's relations, resolves conflicts with
+//! operator-precedence relations, and —
 //! like Maya and unlike YACC — **rejects** grammars with unresolved
 //! conflicts rather than resolving them silently.
 //!

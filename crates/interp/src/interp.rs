@@ -1374,12 +1374,38 @@ impl Interp {
         Err(Control::error(format!("unresolved name {name}"), span))
     }
 
+    /// The class declaring `name` as a static field seen from `class`, if
+    /// any. Objects carry no slot for a static field, so a static read or
+    /// written through an instance is its class's field.
+    fn static_owner(&self, class: ClassId, name: Symbol) -> Option<ClassId> {
+        self.ct
+            .lookup_field(class, name)
+            .filter(|(_, f)| f.modifiers.is_static())
+            .map(|(owner, _)| owner)
+    }
+
+    /// Writes field `name` of `obj`: its own slot, or the static field the
+    /// name denotes in its class.
+    pub(crate) fn set_field(&self, obj: &Obj, name: Symbol, v: Value) -> Result<(), Control> {
+        if obj.layout.offset(name).is_none() {
+            if let Some(owner) = self.static_owner(obj.class, name) {
+                return self.set_static_field(owner, name, v);
+            }
+        }
+        obj.set(name, v);
+        Ok(())
+    }
+
     pub(crate) fn field_of(&self, target: Value, name: Symbol, span: Span) -> Eval {
         match target {
             Value::ClassRef(c) => self.static_field(c, name),
-            Value::Object(obj) => obj
-                .get(name)
-                .ok_or_else(|| Control::error(format!("no field {name}"), span)),
+            Value::Object(obj) => match obj.get(name) {
+                Some(v) => Ok(v),
+                None => match self.static_owner(obj.class, name) {
+                    Some(owner) => self.static_field(owner, name),
+                    None => Err(Control::error(format!("no field {name}"), span)),
+                },
+            },
             Value::Array(a) if name.as_str() == "length" => {
                 Ok(Value::Int(a.data.borrow().len() as i32))
             }
@@ -1443,10 +1469,7 @@ impl Interp {
             ExprKind::FieldAccess(t, name) => {
                 let tv = self.eval(t, frame)?;
                 match tv {
-                    Value::Object(obj) => {
-                        obj.set(name.sym, v);
-                        Ok(())
-                    }
+                    Value::Object(obj) => self.set_field(&obj, name.sym, v),
                     Value::ClassRef(c) => self.set_static_field(c, name.sym, v),
                     Value::Null => {
                         Err(self.throw_simple("java.lang.NullPointerException", target.span))

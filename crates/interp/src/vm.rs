@@ -420,9 +420,7 @@ impl Interp {
                                 fs.fill(lp, off);
                                 Ok(o.get_slot(off))
                             } else {
-                                o.get(name).ok_or_else(|| {
-                                    Control::error(format!("no field {name}"), span)
-                                })
+                                self.field_of(regs[obj as usize].clone(), name, span)
                             }
                         }
                         other => self.field_of(other.clone(), name, span),
@@ -431,10 +429,7 @@ impl Interp {
                 }
                 Instr::FieldSet { obj, val, name, span } => {
                     let r = match regs[obj as usize].clone() {
-                        Value::Object(o) => {
-                            o.set(name, regs[val as usize].clone());
-                            Ok(())
-                        }
+                        Value::Object(o) => self.set_field(&o, name, regs[val as usize].clone()),
                         Value::ClassRef(c) => {
                             self.set_static_field(c, name, regs[val as usize].clone())
                         }

@@ -349,6 +349,39 @@ fn time_passes_tree_prints_nested_spans() {
 }
 
 #[test]
+fn table_build_has_lr0_lookaheads_and_fill_children() {
+    let f = write_temp("table_spans.maya", HELLO);
+    let out = mayac().arg("--time-passes=tree").arg(&f).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let at = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("table_build "))
+        .unwrap_or_else(|| panic!("no table_build span in:\n{stderr}"));
+    let children: Vec<&str> = lines[at + 1..]
+        .iter()
+        .take_while(|l| indent(l) > indent(lines[at]))
+        .filter(|l| indent(l) == indent(lines[at]) + 2)
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    assert_eq!(children, ["lr0", "lookaheads", "fill"], "in:\n{stderr}");
+
+    let trace = f.parent().unwrap().join("table_spans.json");
+    let out = mayac()
+        .arg(format!("--trace-out={}", trace.display()))
+        .arg(&f)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let names = trace_names(&read_trace(&trace));
+    for want in ["table_build", "lr0", "lookaheads", "fill"] {
+        assert!(names.iter().any(|n| n == want), "missing {want:?} in {names:?}");
+    }
+}
+
+#[test]
 fn profile_interp_reports_hot_methods() {
     let f = write_temp(
         "prof.maya",
